@@ -133,14 +133,12 @@ PisaTiming time_pisa_pair(const std::string& target_name, const std::string& bas
 }
 
 /// Per-component kernel costs, so regressions are attributable without
-/// re-profiling: the raw eft_row sweep, annealing-step cost split by
-/// perturbation class (weight-only vs structural), and the batched
-/// annealer at K = 1/4/8.
+/// re-profiling: the raw eft_row sweep and the annealing-step cost split by
+/// perturbation class (weight-only vs structural).
 struct ComponentTimings {
   double eft_row_ns = 0.0;
   double weight_only_step_ns = 0.0;
   double structural_step_ns = 0.0;
-  std::vector<std::pair<std::size_t, double>> batch_steps_per_sec;
 };
 
 /// ns per eft_row sweep (append mode, all nodes) on the 64-task instance,
@@ -189,25 +187,6 @@ double time_anneal_class(const std::vector<pisa::PerturbationOp>& ops) {
   return seconds_since(t0) / static_cast<double>(steps) * 1e9;
 }
 
-/// Annealing-step throughput of the batched annealer at the given K on the
-/// HEFT/CPoP pair (serial slot evaluation — the deterministic reference).
-double time_batch(std::size_t k) {
-  const auto target = make_scheduler("HEFT", 1);
-  const auto baseline = make_scheduler("CPoP", 2);
-  pisa::PisaOptions options;
-  options.params.batch = k;
-  TimelineArena arena;
-
-  std::size_t steps = 0;
-  const auto t0 = Clock::now();
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto result =
-        pisa::run_pisa(*target, *baseline, options, 42 + static_cast<std::uint64_t>(rep), &arena);
-    steps += options.restarts * result.iterations;
-  }
-  return static_cast<double>(steps) / seconds_since(t0);
-}
-
 ComponentTimings time_components(const ProblemInstance& inst) {
   ComponentTimings c;
   c.eft_row_ns = time_eft_row(inst);
@@ -216,30 +195,21 @@ ComponentTimings time_components(const ProblemInstance& inst) {
        pisa::PerturbationOp::kChangeTaskWeight, pisa::PerturbationOp::kChangeDependencyWeight});
   c.structural_step_ns = time_anneal_class(
       {pisa::PerturbationOp::kAddDependency, pisa::PerturbationOp::kRemoveDependency});
-  for (const std::size_t k : {1, 4, 8}) {
-    c.batch_steps_per_sec.emplace_back(k, time_batch(k));
-  }
   return c;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // bench_kernel [out.json] [--baseline <seed steps/sec>] [--smoke]
+  // bench_kernel [out.json] [--baseline <seed steps/sec>]
   // --baseline records a pre-kernel reference measured on the same machine
   // (e.g. the PR 1 seed build) so the JSON carries the end-to-end speedup.
-  // --smoke runs only the PISA pairs (the numbers CI's advisory perf gate
-  // compares against the committed JSON) and skips the per-scheduler and
-  // per-component calibration loops.
   std::string out_path = "BENCH_kernel.json";
   double baseline_steps_per_sec = 0.0;
-  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--baseline" && i + 1 < argc) {
       baseline_steps_per_sec = std::atof(argv[++i]);
-    } else if (arg == "--smoke") {
-      smoke = true;
     } else {
       out_path = arg;
     }
@@ -247,13 +217,11 @@ int main(int argc, char** argv) {
   const auto inst = layered_instance(64, 8, 42);
 
   std::vector<SchedulerTiming> timings;
-  if (!smoke) {
-    for (const auto& name : benchmark_scheduler_names()) {
-      timings.push_back(time_scheduler(name, inst));
-      std::fprintf(stderr, "%-12s one-shot %9.0f ns  arena %9.0f ns  (%.2fx)\n",
-                   timings.back().name.c_str(), timings.back().ns_one_shot,
-                   timings.back().ns_arena, timings.back().ns_one_shot / timings.back().ns_arena);
-    }
+  for (const auto& name : benchmark_scheduler_names()) {
+    timings.push_back(time_scheduler(name, inst));
+    std::fprintf(stderr, "%-12s one-shot %9.0f ns  arena %9.0f ns  (%.2fx)\n",
+                 timings.back().name.c_str(), timings.back().ns_one_shot, timings.back().ns_arena,
+                 timings.back().ns_one_shot / timings.back().ns_arena);
   }
 
   const std::vector<std::pair<std::string, std::string>> pairs = {
@@ -269,16 +237,10 @@ int main(int argc, char** argv) {
   const double pisa_mean = pisa_total_steps_per_sec / static_cast<double>(pairs.size());
   std::fprintf(stderr, "PISA mean: %.0f steps/sec\n", pisa_mean);
 
-  ComponentTimings components;
-  if (!smoke) {
-    components = time_components(inst);
-    std::fprintf(stderr, "eft_row sweep: %.1f ns\n", components.eft_row_ns);
-    std::fprintf(stderr, "weight-only step: %.0f ns  structural step: %.0f ns\n",
-                 components.weight_only_step_ns, components.structural_step_ns);
-    for (const auto& [k, sps] : components.batch_steps_per_sec) {
-      std::fprintf(stderr, "batch=%zu: %.0f steps/sec\n", k, sps);
-    }
-  }
+  const ComponentTimings components = time_components(inst);
+  std::fprintf(stderr, "eft_row sweep: %.1f ns\n", components.eft_row_ns);
+  std::fprintf(stderr, "weight-only step: %.0f ns  structural step: %.0f ns\n",
+               components.weight_only_step_ns, components.structural_step_ns);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -310,19 +272,11 @@ int main(int argc, char** argv) {
                  i + 1 < pisa_timings.size() ? "," : "");
   }
   std::fprintf(out, "    ],\n");
-  if (!smoke) {
-    std::fprintf(out, "    \"components\": {\n");
-    std::fprintf(out, "      \"eft_row_sweep_ns\": %.1f,\n", components.eft_row_ns);
-    std::fprintf(out, "      \"weight_only_step_ns\": %.0f,\n", components.weight_only_step_ns);
-    std::fprintf(out, "      \"structural_step_ns\": %.0f,\n", components.structural_step_ns);
-    std::fprintf(out, "      \"batch_steps_per_sec\": {");
-    for (std::size_t i = 0; i < components.batch_steps_per_sec.size(); ++i) {
-      const auto& [k, sps] = components.batch_steps_per_sec[i];
-      std::fprintf(out, "%s\"%zu\": %.0f", i == 0 ? "" : ", ", k, sps);
-    }
-    std::fprintf(out, "}\n");
-    std::fprintf(out, "    },\n");
-  }
+  std::fprintf(out, "    \"components\": {\n");
+  std::fprintf(out, "      \"eft_row_sweep_ns\": %.1f,\n", components.eft_row_ns);
+  std::fprintf(out, "      \"weight_only_step_ns\": %.0f,\n", components.weight_only_step_ns);
+  std::fprintf(out, "      \"structural_step_ns\": %.0f\n", components.structural_step_ns);
+  std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"mean_steps_per_sec\": %.0f", pisa_mean);
   if (baseline_steps_per_sec > 0.0) {
     std::fprintf(out, ",\n    \"seed_baseline_steps_per_sec\": %.0f", baseline_steps_per_sec);

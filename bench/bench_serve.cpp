@@ -1,17 +1,13 @@
 /// Daemon throughput microbenchmark (plain chrono, no Google Benchmark, so
 /// it always builds). Drives the scheduler-as-a-service request path on the
-/// tiny Fig. 1 instance two ways:
+/// tiny Fig. 1 instance three ways:
 ///   1. in-process: ScheduleService::handle called directly (no sockets),
 ///      single-threaded and with 4 concurrent callers — the ceiling of the
 ///      dispatch + codec + warm-arena pipeline, and
 ///   2. HTTP loopback: a real HttpServer on 127.0.0.1 with 4 workers,
 ///      4 keep-alive HttpClients hammering POST /v1/schedule — the number a
-///      deployment actually sees,
-///   3. batching pair: one 60-task dataset request driven unbatched and
-///      through the cross-request gatherer on an otherwise identical
-///      loopback setup, isolating what coalescing identical requests onto
-///      one warm pass buys, and
-///   4. overload: an always-shedding AdmissionController, measuring the
+///      deployment actually sees, and
+///   3. overload: an always-shedding AdmissionController, measuring the
 ///      429 fast path an overloaded daemon serves instead of scheduling.
 ///
 /// Latencies are stamped into the same FixedHistogram ladder the daemon's
@@ -155,46 +151,6 @@ int main(int argc, char** argv) {
       }
     };
     phases.push_back(run_phase("http_loopback", 4, per_thread, issue));
-  }
-
-  // The batching pair: the same 60-task dataset request (still under the
-  // gatherer's max_tasks threshold) driven unbatched and batched, so the
-  // two phases differ only in whether identical concurrent requests share
-  // one warm scheduling pass. Eight closed-loop clients against max_batch 4
-  // keep every gather window full, so passes close on the member cap
-  // instead of sleeping out the window.
-  const std::string dataset_body = Json::object({{"scheduler", Json::string("HEFT")},
-                                                 {"dataset", Json::string("chains?chains=6&length=10")},
-                                                 {"seed", Json::number(1)}})
-                                       .dump();
-  const std::uint64_t per_thread_batch = smoke ? 100 : 2000;
-
-  const auto loopback_phase = [&](const std::string& name,
-                                  const serve::ScheduleService::Options& service_options) {
-    serve::ScheduleService service(service_options);
-    serve::HttpServer::Options options;
-    options.port = 0;
-    options.threads = 8;
-    serve::HttpServer server(
-        options, [&service](const serve::HttpRequest& req) { return service.handle(req); });
-    const std::uint16_t port = server.port();
-    const auto issue = [&] {
-      thread_local serve::HttpClient conn(port);
-      const serve::HttpResponse resp = conn.request("POST", "/v1/schedule", dataset_body);
-      if (resp.status != 200) {
-        std::fprintf(stderr, "unexpected status %d: %s\n", resp.status, resp.body.c_str());
-        std::exit(1);
-      }
-    };
-    phases.push_back(run_phase(name, 8, per_thread_batch, issue));
-  };
-
-  loopback_phase("http_unbatched", serve::ScheduleService::Options{});
-  {
-    serve::ScheduleService::Options service_options;
-    service_options.batch.window_us = 300;
-    service_options.batch.max_batch = 4;
-    loopback_phase("batch", service_options);
   }
 
   {

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -35,7 +37,8 @@
 ///     coarse connection-count backstop (`Options::max_pending`) and
 ///     answers the same canned 429 best-effort before closing. That layer
 ///     is path-blind memory protection; it is sized well above max_queue
-///     so the path-aware layer always engages first.
+///     (`Limits::accept_backstop`) so the path-aware layer always engages
+///     first.
 ///
 /// Thread-safety: all members are atomics or the lock-free FixedHistogram;
 /// every method is safe to call concurrently from request handlers.
@@ -51,6 +54,19 @@ class AdmissionController {
     /// (0 = unlimited). The sample includes the request being decided, so
     /// `max_inflight = M` admits at most M concurrent handlers.
     std::size_t max_inflight = 0;
+
+    /// Size of the accept-level backstop (HttpServer::Options::max_pending)
+    /// for these limits: 8 x max_queue with a floor of 64, saturating at
+    /// SIZE_MAX rather than wrapping; 0 (no backstop) when max_queue is
+    /// unlimited.
+    [[nodiscard]] std::size_t accept_backstop() const noexcept {
+      constexpr std::size_t kFactor = 8;
+      if (max_queue == 0) return 0;
+      if (max_queue > std::numeric_limits<std::size_t>::max() / kFactor) {
+        return std::numeric_limits<std::size_t>::max();
+      }
+      return std::max<std::size_t>(64, kFactor * max_queue);
+    }
   };
 
   explicit AdmissionController(const Limits& limits) : limits_(limits) {}

@@ -4,10 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
-#include "serve/batch.hpp"
 #include "serve/http.hpp"
 #include "serve/telemetry.hpp"
 
@@ -64,9 +62,6 @@ class ScheduleService {
     /// subject to shedding — /metrics, /healthz, and error paths are
     /// structurally exempt (they never reach the admission check).
     AdmissionController* admission = nullptr;
-    /// Cross-request batching for tiny /v1/schedule requests; disabled by
-    /// default (window_us == 0). See serve/batch.hpp for the contract.
-    BatchOptions batch;
     /// /v1/compare rosters with at least this many schedulers stream their
     /// response as Transfer-Encoding: chunked, one row per chunk (the
     /// de-chunked bytes equal the buffered body exactly). Smaller rosters
@@ -83,9 +78,6 @@ class ScheduleService {
   [[nodiscard]] HttpResponse handle(const HttpRequest& req);
 
   [[nodiscard]] const Telemetry& telemetry() const noexcept { return telemetry_; }
-
-  /// The batch gatherer; null when batching is disabled.
-  [[nodiscard]] const BatchGatherer* batcher() const noexcept { return batcher_.get(); }
 
   /// Supplies the point-in-time gauges /metrics reports (queue depth,
   /// in-flight requests, pool jobs, connections). The daemon wires this to
@@ -115,7 +107,6 @@ class ScheduleService {
   Options options_;
   Telemetry telemetry_;
   GaugeSampler gauge_sampler_;
-  std::unique_ptr<BatchGatherer> batcher_;  // non-null iff options_.batch.enabled()
   std::chrono::steady_clock::time_point start_;
   std::uint64_t serial_;  // distinguishes services sharing one thread's cache
 };

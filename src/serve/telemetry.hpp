@@ -76,9 +76,6 @@ class Telemetry {
     std::uint64_t connections = 0;      // TCP connections accepted
     double uptime_seconds = 0.0;
     std::uint64_t admission_shed = 0;   // requests/connections shed with 429
-    std::uint64_t batch_requests = 0;   // requests routed through the gatherer
-    std::uint64_t batch_passes = 0;     // gather passes (leader sweeps) executed
-    std::uint64_t batch_coalesced = 0;  // members answered from a batch-mate
   };
 
   /// Prometheus text exposition (version 0.0.4): HELP/TYPE headers,

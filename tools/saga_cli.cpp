@@ -482,11 +482,10 @@ extern "C" void serve_signal_handler(int) {
 int cmd_serve(int argc, char** argv) {
   constexpr const char* kUsage =
       "usage: saga serve [--port P] [--threads N] [--max-body BYTES] [--port-file path]\n"
-      "                  [--max-queue N] [--max-inflight M] [--batch-window USEC] [--batch-max K]";
+      "                  [--max-queue N] [--max-inflight M]";
   serve::HttpServer::Options options;
   options.port = 8080;
   serve::AdmissionController::Limits limits;
-  serve::BatchOptions batch;
   std::string port_file;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -507,14 +506,6 @@ int cmd_serve(int argc, char** argv) {
     } else if (arg == "--max-inflight") {
       limits.max_inflight =
           static_cast<std::size_t>(parse_u64(take("--max-inflight"), "in-flight limit"));
-    } else if (arg == "--batch-window") {
-      batch.window_us =
-          static_cast<std::uint32_t>(parse_u64(take("--batch-window"), "batch window"));
-    } else if (arg == "--batch-max") {
-      batch.max_batch = static_cast<std::size_t>(parse_u64(take("--batch-max"), "batch size"));
-      if (batch.max_batch == 0) {
-        throw UsageError(std::string("--batch-max must be at least 1\n") + kUsage);
-      }
     } else if (arg == "--port-file") {
       port_file = take("--port-file");
     } else {
@@ -528,12 +519,11 @@ int cmd_serve(int argc, char** argv) {
   static serve::AdmissionController admission(limits);
   serve::ScheduleService::Options service_options;
   service_options.admission = &admission;
-  service_options.batch = batch;
   serve::ScheduleService service(service_options);
   if (limits.max_queue != 0) {
     // Accept-level backstop, sized well above the path-aware limit so
     // /metrics scrapes are shed by neither layer in practice.
-    options.max_pending = std::max<std::size_t>(64, 8 * limits.max_queue);
+    options.max_pending = limits.accept_backstop();
     options.admission = &admission;
   }
   // The gauge sampler is installed before the server exists (workers start
