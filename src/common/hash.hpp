@@ -14,11 +14,16 @@
 
 namespace saga {
 
+/// FNV-1a's 64-bit offset basis: the hash of the empty string.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a over a byte string. Matches the offset basis / prime used
 /// by datasets::dataset_name_hash (kept separate: that one is a pinned seed
-/// derivation, this one a general-purpose fingerprint).
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+/// derivation, this one a general-purpose fingerprint). Passing the hash of
+/// a prefix as `hash` continues it, so fnv1a64(b, fnv1a64(a)) ==
+/// fnv1a64(a + b): a stream can be fingerprinted piece by piece.
+[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view text,
+                                              std::uint64_t hash = kFnv1a64Basis) noexcept {
   for (const char c : text) {
     hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }

@@ -323,7 +323,8 @@ namespace {
 /// thread count.
 Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCell& cell,
                   const pisa::PisaOptions& pisa_options,
-                  const ProblemInstance& schedule_instance, TimelineArena& arena) {
+                  const ProblemInstance& schedule_instance, const sim::Workload& workload,
+                  TimelineArena& arena) {
   Json payload = Json::object();
   switch (spec.mode) {
     case Mode::kBenchmark: {
@@ -359,12 +360,13 @@ Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCe
     }
     case Mode::kSimulate: {
       // The workload (arrival times, per-job weight noise) derives from the
-      // master seed alone, so every roster entry faces the identical
-      // scenario; only the scheduler's own stream is per-cell.
+      // master seed alone, so every roster entry replays the one shared
+      // copy; only the scheduler's own stream is per-cell.
       const auto scheduler = SchedulerRegistry::instance().make(
           plan.roster[cell.scheduler], derive_seed(spec.seed, {0x51aaULL, cell.scheduler}));
       const sim::SimReport report =
-          sim::simulate_scenario(spec.scenario, *scheduler, spec.seed, &arena);
+          sim::simulate_jobs(workload.network, workload.jobs, *scheduler, spec.scenario.faults,
+                             spec.scenario.jitter, &arena);
       payload = sim_report_to_json(report);
       break;
     }
@@ -633,10 +635,16 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, std::ostream& out,
   }
 
   // Schedule mode reads its instance exactly once ("-" composes with
-  // pipes); the workers share the loaded copy.
+  // pipes); the workers share the loaded copy. Simulate mode likewise
+  // builds its workload once — job by job across the pool, and only when
+  // cells remain to run — and every scheduler's cell replays that copy.
   ProblemInstance schedule_instance;
   if (spec.mode == Mode::kSchedule) {
     schedule_instance = load_instance_ref(spec.instance, spec.seed);
+  }
+  sim::Workload workload;
+  if (spec.mode == Mode::kSimulate && !work.empty()) {
+    workload = sim::make_workload(spec.scenario, spec.seed, pool);
   }
   const pisa::PisaOptions pisa_options =
       spec.mode == Mode::kPisaPairwise ? spec.pisa.to_options() : pisa::PisaOptions{};
@@ -647,7 +655,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, std::ostream& out,
     thread_local TimelineArena arena;
     const WorkCell& cell = plan.cells[work[k]];
     const auto cell_start = std::chrono::steady_clock::now();
-    Json payload = execute_cell(spec, plan, cell, pisa_options, schedule_instance, arena);
+    Json payload =
+        execute_cell(spec, plan, cell, pisa_options, schedule_instance, workload, arena);
     if (store) {
       CellRecord record;
       record.spec_hash = hash;

@@ -1,8 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <optional>
@@ -11,6 +11,7 @@
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "datasets/registry.hpp"
 #include "sched/arena.hpp"
 #include "stochastic/stochastic_instance.hpp"
@@ -19,12 +20,73 @@ namespace saga::sim {
 
 namespace {
 
-/// %.17g: round-trip exact and byte-stable across platforms for the same
-/// double, so traces (and their hashes) are portable.
-std::string format_time(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+/// %.17g (which to_chars at general precision 17 is defined to produce):
+/// round-trip exact and byte-stable across platforms for the same double,
+/// so traces (and their hashes) are portable.
+void append_double(std::string& out, double value) {
+  char buffer[32];
+  const auto end =
+      std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, 17).ptr;
+  out.append(buffer, end);
+}
+
+void append_integer(std::string& out, std::uint64_t value) {
+  char buffer[24];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  out.append(buffer, end);
+}
+
+/// Appends one trace line: the unit both trace_to_string and the running
+/// trace hash are built from.
+void append_event(std::string& out, const Event& e) {
+  out += to_string(e.type);
+  out += " t=";
+  append_double(out, e.time);
+  switch (e.type) {
+    case EventType::kJobArrival:
+      out += " job=";
+      append_integer(out, e.job);
+      break;
+    case EventType::kTaskStart:
+    case EventType::kTaskFinish:
+    case EventType::kTaskLost:
+      out += " job=";
+      append_integer(out, e.job);
+      out += " task=";
+      append_integer(out, e.task);
+      out += " node=";
+      append_integer(out, e.node);
+      break;
+    case EventType::kNodeCrash:
+    case EventType::kNodeRecover:
+    case EventType::kSlowdownEnd:
+      out += " node=";
+      append_integer(out, e.node);
+      break;
+    case EventType::kSlowdownBegin:
+      out += " node=";
+      append_integer(out, e.node);
+      out += " factor=";
+      append_double(out, e.factor);
+      break;
+    case EventType::kJitterChange:
+      if (e.has_link) {
+        out += " link=";
+        append_integer(out, std::min(e.node, e.peer));
+        out += '-';
+        append_integer(out, std::max(e.node, e.peer));
+      }
+      out += " factor=";
+      append_double(out, e.factor);
+      break;
+    case EventType::kTaskReady:
+      out += " job=";
+      append_integer(out, e.job);
+      out += " task=";
+      append_integer(out, e.task);
+      break;
+  }
+  out += '\n';
 }
 
 /// One run of the event loop. Single-threaded by construction: a simulation
@@ -33,9 +95,10 @@ class Simulation {
  public:
   Simulation(const Network& network, const std::vector<SimJob>& jobs,
              const Scheduler& scheduler, const std::vector<FaultEvent>& faults,
-             const std::vector<JitterEvent>& jitter, TimelineArena* arena)
+             const std::vector<JitterEvent>& jitter, TimelineArena* arena,
+             std::vector<Event>* trace)
       : network_(network), jobs_(jobs), scheduler_(scheduler), faults_(faults),
-        jitter_script_(jitter), arena_(arena) {}
+        jitter_script_(jitter), arena_(arena), trace_(trace) {}
 
   SimReport run() {
     validate_inputs();
@@ -160,6 +223,17 @@ class Simulation {
     }
   }
 
+  /// Folds one event into the running trace hash (FNV-1a over the
+  /// concatenated lines equals FNV-1a over trace_to_string), and keeps it
+  /// only when the caller asked for the trace.
+  void record(const Event& e) {
+    line_.clear();
+    append_event(line_, e);
+    trace_hash_ = fnv1a64(line_, trace_hash_);
+    ++trace_events_;
+    if (trace_ != nullptr) trace_->push_back(e);
+  }
+
   void record(EventType type, std::size_t job = 0, std::uint32_t task = 0,
               std::uint32_t node = 0) {
     Event e;
@@ -168,7 +242,7 @@ class Simulation {
     e.job = job;
     e.task = task;
     e.node = node;
-    trace_.push_back(e);
+    record(e);
   }
 
   [[nodiscard]] double jitter_factor(NodeId a, NodeId b) const {
@@ -350,7 +424,7 @@ class Simulation {
       e.type = traced_as;
       e.node = v;
       e.factor = factor;
-      trace_.push_back(e);
+      record(e);
     }
     ns.slow_factor = factor;
     if (!ns.running) return;
@@ -376,7 +450,7 @@ class Simulation {
   void handle_jitter(const Event& e) {
     Event traced = e;
     traced.time = clock_.now();
-    trace_.push_back(traced);
+    record(traced);
     if (e.has_link) {
       const std::pair<NodeId, NodeId> key = std::minmax(e.node, e.peer);
       link_jitter_[key] = e.factor;
@@ -398,8 +472,8 @@ class Simulation {
     for (const NodeState& ns : nodes_) {
       report.utilization.push_back(makespan_ > 0.0 ? ns.busy / makespan_ : 0.0);
     }
-    report.trace_hash = fnv1a64(trace_to_string(trace_));
-    report.trace_events = trace_.size();
+    report.trace_hash = trace_hash_;
+    report.trace_events = trace_events_;
     return report;
   }
 
@@ -409,6 +483,7 @@ class Simulation {
   const std::vector<FaultEvent>& faults_;
   const std::vector<JitterEvent>& jitter_script_;
   TimelineArena* arena_ = nullptr;
+  std::vector<Event>* trace_ = nullptr;  // the caller's, when it wants the events
 
   EventQueue queue_;
   SimClock clock_;
@@ -416,16 +491,15 @@ class Simulation {
   std::vector<JobState> states_;
   std::map<std::pair<NodeId, NodeId>, double> link_jitter_;
   double global_jitter_ = 1.0;
-  std::vector<Event> trace_;
+  std::string line_;  // the event being hashed, reused across events
+  std::uint64_t trace_hash_ = kFnv1a64Basis;
+  std::size_t trace_events_ = 0;
   std::vector<double> responses_;
   std::vector<double> degradations_;
   std::size_t completed_jobs_ = 0;
   std::size_t tasks_completed_ = 0;
   std::size_t reexecutions_ = 0;
   double makespan_ = 0.0;
-
- public:
-  [[nodiscard]] const std::vector<Event>& trace() const noexcept { return trace_; }
 };
 
 }  // namespace
@@ -433,43 +507,7 @@ class Simulation {
 std::string trace_to_string(const std::vector<Event>& trace) {
   std::string out;
   out.reserve(trace.size() * 48);
-  for (const Event& e : trace) {
-    out += to_string(e.type);
-    out += " t=";
-    out += format_time(e.time);
-    switch (e.type) {
-      case EventType::kJobArrival:
-        out += " job=" + std::to_string(e.job);
-        break;
-      case EventType::kTaskStart:
-      case EventType::kTaskFinish:
-      case EventType::kTaskLost:
-        out += " job=" + std::to_string(e.job) + " task=" + std::to_string(e.task) +
-               " node=" + std::to_string(e.node);
-        break;
-      case EventType::kNodeCrash:
-      case EventType::kNodeRecover:
-        out += " node=" + std::to_string(e.node);
-        break;
-      case EventType::kSlowdownBegin:
-        out += " node=" + std::to_string(e.node) + " factor=" + format_time(e.factor);
-        break;
-      case EventType::kSlowdownEnd:
-        out += " node=" + std::to_string(e.node);
-        break;
-      case EventType::kJitterChange:
-        if (e.has_link) {
-          out += " link=" + std::to_string(std::min(e.node, e.peer)) + "-" +
-                 std::to_string(std::max(e.node, e.peer));
-        }
-        out += " factor=" + format_time(e.factor);
-        break;
-      case EventType::kTaskReady:
-        out += " job=" + std::to_string(e.job) + " task=" + std::to_string(e.task);
-        break;
-    }
-    out += "\n";
-  }
+  for (const Event& e : trace) append_event(out, e);
   return out;
 }
 
@@ -477,12 +515,7 @@ SimReport simulate_jobs(const Network& network, const std::vector<SimJob>& jobs,
                         const Scheduler& scheduler, const std::vector<FaultEvent>& faults,
                         const std::vector<JitterEvent>& jitter, TimelineArena* arena,
                         std::vector<Event>* trace) {
-  Simulation simulation(network, jobs, scheduler, faults, jitter, arena);
-  SimReport report = simulation.run();
-  if (trace != nullptr) {
-    trace->insert(trace->end(), simulation.trace().begin(), simulation.trace().end());
-  }
-  return report;
+  return Simulation(network, jobs, scheduler, faults, jitter, arena, trace).run();
 }
 
 std::vector<double> arrival_times(const Scenario& scenario, std::uint64_t seed) {
@@ -500,18 +533,17 @@ std::vector<double> arrival_times(const Scenario& scenario, std::uint64_t seed) 
   return times;
 }
 
-SimReport simulate_scenario(const Scenario& scenario, const Scheduler& scheduler,
-                            std::uint64_t seed, TimelineArena* arena,
-                            std::vector<Event>* trace) {
+Workload make_workload(const Scenario& scenario, std::uint64_t seed, ThreadPool* pool) {
   scenario.validate();
   const auto source = datasets::DatasetRegistry::instance().make(scenario.dataset, seed);
+  Workload workload;
   // The shared network is instance 0's network; job j streams instance j's
   // task graph onto it.
-  const Network network = source->generate(0).network;
+  workload.network = source->generate(0).network;
   const std::vector<double> times = arrival_times(scenario, seed);
-  std::vector<SimJob> jobs;
-  jobs.reserve(times.size());
-  for (std::size_t j = 0; j < times.size(); ++j) {
+  workload.jobs.resize(times.size());
+  // Job j reads only (scenario, seed, j) and writes only its own slot.
+  const auto build = [&](std::size_t j) {
     TaskGraph graph = source->generate(j).graph;
     if (scenario.noise_cv > 0.0) {
       // Reuse the stochastic envelope for execution-time draws: lift the
@@ -519,19 +551,29 @@ SimReport simulate_scenario(const Scenario& scenario, const Scheduler& scheduler
       // realised graph (the network itself stays fixed — the fault and
       // jitter scripts own its dynamics).
       ProblemInstance base;
-      base.network = network;
+      base.network = workload.network;
       base.graph = std::move(graph);
       stochastic::StochasticInstance stochastic(base);
       stochastic.apply_relative_noise(scenario.noise_cv);
       graph = stochastic.realize(derive_seed(seed, {0x105eca11ULL, j})).graph;
     }
-    SimJob job;
-    job.arrival = times[j];
-    job.graph = std::move(graph);
-    jobs.push_back(std::move(job));
+    workload.jobs[j].arrival = times[j];
+    workload.jobs[j].graph = std::move(graph);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(times.size(), build);
+  } else {
+    for (std::size_t j = 0; j < times.size(); ++j) build(j);
   }
-  return simulate_jobs(network, jobs, scheduler, scenario.faults, scenario.jitter, arena,
-                       trace);
+  return workload;
+}
+
+SimReport simulate_scenario(const Scenario& scenario, const Scheduler& scheduler,
+                            std::uint64_t seed, TimelineArena* arena,
+                            std::vector<Event>* trace) {
+  const Workload workload = make_workload(scenario, seed);
+  return simulate_jobs(workload.network, workload.jobs, scheduler, scenario.faults,
+                       scenario.jitter, arena, trace);
 }
 
 }  // namespace saga::sim

@@ -29,11 +29,14 @@
 /// static TimelineBuilder makespan — exactly (pinned by tests/test_sim_faults).
 ///
 /// Everything is deterministic in (scenario, seed): the event queue breaks
-/// timestamp ties in push order, workload streams derive from the
-/// experiment seed alone (identical across the roster), and the trace hash
-/// fingerprints the full event order.
+/// timestamp ties in push order, the workload derives from the experiment
+/// seed alone (so a roster builds it once and every scheduler replays the
+/// same jobs), and the trace hash fingerprints the full event order. The
+/// trace is digested as it is produced; its events are kept only when the
+/// caller asks for them.
 
 namespace saga {
+class ThreadPool;
 class TimelineArena;
 }
 
@@ -60,6 +63,12 @@ struct SimReport {
   std::size_t trace_events = 0;
 };
 
+/// The jobs a scenario streams onto its shared network.
+struct Workload {
+  Network network{1};
+  std::vector<SimJob> jobs;
+};
+
 /// Renders an event trace deterministically, one line per event (internal
 /// kTaskReady events are never traced). The rendering — and therefore the
 /// trace hash — is byte-stable across platforms for identical inputs.
@@ -68,8 +77,11 @@ struct SimReport {
 /// Core entry point: replays `jobs` on `network` under the given fault and
 /// jitter scripts. `scheduler` plans each job at its arrival instant.
 /// Throws std::invalid_argument on malformed scripts, out-of-range node
-/// indices, or decreasing arrival times. When `trace` is non-null the full
-/// event trace is appended to it.
+/// indices, or decreasing arrival times; validation runs before the first
+/// event, so a rejected call leaves `trace` untouched. When `trace` is
+/// non-null each traced event is appended to it as it happens (existing
+/// contents are kept); otherwise the events are only digested into
+/// SimReport::trace_hash.
 [[nodiscard]] SimReport simulate_jobs(const Network& network, const std::vector<SimJob>& jobs,
                                       const Scheduler& scheduler,
                                       const std::vector<FaultEvent>& faults,
@@ -82,10 +94,19 @@ struct SimReport {
 /// face the identical workload.
 [[nodiscard]] std::vector<double> arrival_times(const Scenario& scenario, std::uint64_t seed);
 
-/// Declarative entry point behind `saga simulate`: validates the scenario,
-/// resolves its dataset (the network is instance 0's network; job j's graph
-/// is instance j's graph, optionally re-drawn with relative noise from a
-/// seed-derived stream), and runs simulate_jobs.
+/// Validates the scenario and builds its workload: the network is the
+/// dataset's instance 0 network; job j arrives at arrival_times()[j] with
+/// instance j's graph, optionally re-drawn with relative noise from a
+/// seed-derived stream. Each job is a pure function of (scenario, seed, j),
+/// so with a `pool` the jobs are built across its threads, and the result
+/// is the same for any thread count.
+[[nodiscard]] Workload make_workload(const Scenario& scenario, std::uint64_t seed,
+                                     ThreadPool* pool = nullptr);
+
+/// Declarative entry point for one scheduler: make_workload, then
+/// simulate_jobs under the scenario's fault and jitter scripts. A roster
+/// replaying one scenario should build the workload once and call
+/// simulate_jobs per scheduler, as simulate-mode experiments do.
 [[nodiscard]] SimReport simulate_scenario(const Scenario& scenario, const Scheduler& scheduler,
                                           std::uint64_t seed, TimelineArena* arena = nullptr,
                                           std::vector<Event>* trace = nullptr);

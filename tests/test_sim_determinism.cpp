@@ -2,6 +2,9 @@
 // (scenario, seed). Pins, in increasing scope:
 //
 //   - repeated runs produce byte-identical event traces (and hashes),
+//   - the trace fingerprint of a fixed scenario is pinned, and the digest
+//     streamed while the simulation runs equals the hash of the rendered
+//     trace, with or without the caller keeping the events,
 //   - every scheduler in a roster faces the identical workload stream,
 //   - simulate-mode experiments emit byte-identical CSV/JSON artifacts
 //     regardless of thread count, shard decomposition (1..4), or an
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "exp/experiment.hpp"
 #include "exp/json.hpp"
@@ -216,6 +220,52 @@ TEST(SimDeterminism, TheSeedOwnsTheWorkload) {
   traced.arrivals.times = {0.0, 1.5, 3.0};
   EXPECT_EQ(sim::arrival_times(traced, 1), traced.arrivals.times);
   EXPECT_EQ(sim::arrival_times(traced, 2), traced.arrivals.times);
+}
+
+// ---- Pinned trace fingerprint -------------------------------------------
+
+/// tiny_scenario with its crash/recover pair moved to node 0, where the
+/// crash destroys in-flight work under every pinned scheduler, so the
+/// pinned traces hold every traced event type.
+sim::Scenario pinned_scenario() {
+  sim::Scenario s = tiny_scenario();
+  s.faults[0].node = 0;
+  s.faults[1].node = 0;
+  return s;
+}
+
+// The trace hash is the fingerprint every report and artifact carries. The
+// pins were computed by rendering each whole trace and hashing the string;
+// the digest folded in event by event must reproduce them exactly.
+TEST(SimDeterminism, TraceFingerprintIsPinned) {
+  struct Pin {
+    const char* scheduler;
+    const char* hash;
+    std::size_t events;
+  };
+  const Pin pins[] = {
+      {"HEFT", "68aaca1679d0f276", 73},
+      {"MinMin", "bbc4580d14563e13", 73},
+      {"ETF", "2ebd1cd7a774d4d5", 73},
+  };
+  const sim::Scenario scenario = pinned_scenario();
+  for (const Pin& pin : pins) {
+    const auto scheduler = make_scheduler(pin.scheduler);
+    std::vector<Event> trace;
+    const sim::SimReport traced =
+        sim::simulate_scenario(scenario, *scheduler, 42, nullptr, &trace);
+    EXPECT_EQ(hash_hex(traced.trace_hash), pin.hash) << pin.scheduler;
+    EXPECT_EQ(traced.trace_events, pin.events) << pin.scheduler;
+    EXPECT_EQ(traced.reexecutions, 1u) << pin.scheduler;
+    EXPECT_EQ(traced.completed_jobs, traced.jobs) << pin.scheduler;
+    ASSERT_EQ(trace.size(), traced.trace_events) << pin.scheduler;
+    EXPECT_EQ(traced.trace_hash, fnv1a64(sim::trace_to_string(trace))) << pin.scheduler;
+
+    // Keeping the events is an observer: the report is the same without.
+    const sim::SimReport untraced = sim::simulate_scenario(scenario, *scheduler, 42);
+    EXPECT_EQ(exp::sim_report_to_json(untraced).dump(), exp::sim_report_to_json(traced).dump())
+        << pin.scheduler;
+  }
 }
 
 // ---- Executor-level determinism ---------------------------------------

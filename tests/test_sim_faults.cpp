@@ -29,6 +29,7 @@ namespace {
 
 using namespace saga;
 using sim::Event;
+using sim::EventType;
 using sim::FaultEvent;
 using sim::JitterEvent;
 using sim::SimJob;
@@ -381,6 +382,73 @@ TEST(SimFaults, MalformedScriptsThrow) {
   EXPECT_THROW(
       (void)sim::simulate_jobs(net, jobs, *scheduler, {}, {jitter_link(0.0, 1, 1, 2.0)}),
       std::invalid_argument);
+}
+
+// ---- The trace out-param ----------------------------------------------
+
+/// An event no simulation below produces, to mark a vector's prior contents.
+Event sentinel_event() {
+  Event e;
+  e.time = 99.0;
+  e.type = EventType::kNodeRecover;
+  e.node = 7;
+  return e;
+}
+
+// Events stream into the caller's vector as they happen: what it already
+// held is kept, and the tail is exactly the trace a fresh vector receives.
+TEST(SimFaults, TraceOutParamAppendsToExistingEvents) {
+  const Network net(1);
+  const auto scheduler = make_scheduler("HEFT");
+  const std::vector<SimJob> jobs = {job_at(0.0, single_task(10.0))};
+  const std::vector<FaultEvent> faults = {crash_at(0, 4.0), recover_at(0, 6.0)};
+
+  std::vector<Event> fresh;
+  const SimReport report =
+      sim::simulate_jobs(net, jobs, *scheduler, faults, {}, nullptr, &fresh);
+  ASSERT_EQ(fresh.size(), report.trace_events);
+
+  std::vector<Event> appended = {sentinel_event()};
+  (void)sim::simulate_jobs(net, jobs, *scheduler, faults, {}, nullptr, &appended);
+  ASSERT_EQ(appended.size(), 1 + fresh.size());
+  EXPECT_EQ(sim::trace_to_string({appended.front()}), sim::trace_to_string({sentinel_event()}));
+  EXPECT_EQ(sim::trace_to_string({appended.begin() + 1, appended.end()}),
+            sim::trace_to_string(fresh));
+}
+
+// Validation runs before the first event is recorded, so a rejected call
+// throws and leaves the caller's vector exactly as it was.
+TEST(SimFaults, RejectedScriptLeavesTheTraceUntouched) {
+  const Network net(2);
+  const auto scheduler = make_scheduler("HEFT");
+  const std::vector<SimJob> jobs = {job_at(0.0, single_task(1.0))};
+  const std::string before = sim::trace_to_string({sentinel_event()});
+
+  std::vector<Event> trace = {sentinel_event()};
+  // A crash on a node the network does not have, behind a valid jitter
+  // script whose t=0 change would otherwise be the first traced event.
+  EXPECT_THROW((void)sim::simulate_jobs(net, jobs, *scheduler, {crash_at(5, 1.0)},
+                                        {jitter_global(0.0, 2.0)}, nullptr, &trace),
+               std::invalid_argument);
+  EXPECT_EQ(sim::trace_to_string(trace), before);
+  // Decreasing arrivals.
+  EXPECT_THROW(
+      (void)sim::simulate_jobs(
+          net, {job_at(2.0, single_task(1.0)), job_at(1.0, single_task(1.0))}, *scheduler,
+          {}, {jitter_global(0.0, 2.0)}, nullptr, &trace),
+      std::invalid_argument);
+  EXPECT_EQ(sim::trace_to_string(trace), before);
+
+  // The scenario entry point: the range check needs the dataset's network,
+  // so it fails only after the workload is built, still before any event.
+  sim::Scenario scenario;
+  scenario.dataset = "chains?chains=1&length=2&nodes=2";
+  scenario.arrivals.kind = sim::ArrivalProcess::Kind::kTrace;
+  scenario.arrivals.times = {0.0};
+  scenario.faults = {crash_at(5, 1.0)};
+  EXPECT_THROW((void)sim::simulate_scenario(scenario, *scheduler, 1, nullptr, &trace),
+               std::invalid_argument);
+  EXPECT_EQ(sim::trace_to_string(trace), before);
 }
 
 // An empty job list is a valid (if dull) simulation.
