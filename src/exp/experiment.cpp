@@ -34,19 +34,6 @@ std::size_t to_size(const Json& json, const std::string& context) {
   return static_cast<std::size_t>(json.as_u64(context));
 }
 
-/// Rejects keys outside `allowed`, suggesting the nearest valid one.
-void check_keys(const Json& object, const std::vector<std::string>& allowed,
-                const std::string& context) {
-  for (const auto& [key, value] : object.as_object()) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw std::invalid_argument("unknown key '" + key + "' in " + context +
-                                  did_you_mean(key, allowed) +
-                                  "; valid keys: " + join(allowed, ", "));
-    }
-  }
-}
-
 /// Constructs the selection's streaming source, diagnosing unknown dataset
 /// names and bad parameters (with nearest-name suggestions) on the way.
 datasets::InstanceSourcePtr make_source(const std::string& spec_string, std::uint64_t seed) {

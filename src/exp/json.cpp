@@ -1,11 +1,14 @@
 #include "exp/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "common/nearest.hpp"
 
 namespace saga::exp {
 
@@ -451,6 +454,19 @@ std::string Json::dump(int indent) const {
   write(out, indent, 0);
   if (indent > 0) out += '\n';
   return out;
+}
+
+void check_keys(const Json& object, const std::vector<std::string>& allowed,
+                const std::string& context) {
+  for (const auto& [key, value] : object.as_object()) {
+    (void)value;
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      throw std::invalid_argument("unknown key '" + key + "' in " + context +
+                                  did_you_mean(key, allowed) +
+                                  "; valid keys: " + join(allowed, ", ") +
+                                  object.position_suffix());
+    }
+  }
 }
 
 }  // namespace saga::exp

@@ -93,4 +93,12 @@ class Json {
   void write(std::string& out, int indent, int depth) const;
 };
 
+/// Rejects members of `object` whose key is not in `allowed`: throws
+/// std::invalid_argument naming the key and `context`, the nearest valid key
+/// ("did you mean ...?"), every valid key and the object's position. The
+/// one key check of every JSON schema here: experiment specs, simulator
+/// scenarios, the wire codec and the daemon's request bodies.
+void check_keys(const Json& object, const std::vector<std::string>& allowed,
+                const std::string& context);
+
 }  // namespace saga::exp

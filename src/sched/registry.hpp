@@ -83,7 +83,7 @@ class SchedulerRegistry : public DescriptorRegistry<SchedulerDesc> {
   [[nodiscard]] SchedulerPtr make(std::string_view spec_string, std::uint64_t seed) const;
 };
 
-/// Registers the 25 built-in schedulers (defined in schedulers/register.cpp;
+/// Registers the 26 built-in schedulers (defined in schedulers/register.cpp;
 /// each descriptor lives in its scheduler's own .cpp). Called once by
 /// SchedulerRegistry::instance().
 void register_builtin_schedulers(SchedulerRegistry& registry);

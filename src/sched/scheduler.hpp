@@ -7,11 +7,14 @@
 #include "sched/schedule.hpp"
 
 /// \file scheduler.hpp
-/// Common interface of all 17 scheduling algorithms (the paper's Table I).
+/// Common interface of all 26 built-in schedulers: the 17 of the paper's
+/// Table I, 8 extensions, and the Online adapter. ListScheduler is the base
+/// of the 18 that build their schedule on a TimelineBuilder.
 
 namespace saga {
 
 class TimelineArena;
+class TimelineBuilder;
 
 /// Network-model restrictions a scheduler was designed for. The paper's
 /// PISA setup honours these by fixing the corresponding weights to 1 and
@@ -48,20 +51,37 @@ class Scheduler {
   /// materializing the Schedule object. Bit-identical to
   /// `schedule(inst, arena).makespan()` — the hot-loop form for objectives
   /// (PISA evaluates two schedulers per annealing step and only needs the
-  /// scalar). The default forwards to schedule(); kernel-migrated
-  /// schedulers override it to read the timeline's running makespan, which
-  /// skips the Schedule allocation entirely.
+  /// scalar). The default forwards to schedule(); ListScheduler reads the
+  /// timeline's running makespan instead, which skips the Schedule
+  /// allocation entirely.
   [[nodiscard]] virtual double plan_makespan(const ProblemInstance& inst,
                                              TimelineArena* arena) const {
     return schedule(inst, arena).makespan();
   }
 
-  /// Legacy entry point, kept as a forwarding shim so existing callers
-  /// don't break. Concrete schedulers re-export it via
-  /// `using Scheduler::schedule;`.
+  /// The convenience form for one-off calls (tests, tools, examples):
+  /// schedules with one-shot state, no arena. Subclasses that override the
+  /// two-argument form re-export it via `using Scheduler::schedule;`.
   [[nodiscard]] Schedule schedule(const ProblemInstance& inst) const {
     return schedule(inst, nullptr);
   }
+};
+
+/// Base of the list schedulers: a subclass overrides plan() only, placing
+/// every task on the builder, and inherits both entry points. schedule()
+/// returns the builder's schedule and plan_makespan() its running makespan,
+/// so the two agree bit for bit by construction.
+class ListScheduler : public Scheduler {
+ public:
+  using Scheduler::schedule;
+  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
+                                  TimelineArena* arena) const final;
+  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
+                                     TimelineArena* arena) const final;
+
+  /// Places every task of the builder's instance. The builder is fresh:
+  /// nothing placed yet.
+  virtual void plan(TimelineBuilder& builder) const = 0;
 };
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;

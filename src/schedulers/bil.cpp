@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_bil(TimelineBuilder& builder) {
+void BilScheduler::plan(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
   const std::size_t n_nodes = view.node_count();
@@ -95,20 +93,6 @@ void build_bil(TimelineBuilder& builder) {
     }
     builder.place(best_task, best_node, best_start);
   }
-}
-
-}  // namespace
-
-Schedule BilScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_bil(builder);
-  return builder.to_schedule();
-}
-
-double BilScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_bil(builder);
-  return builder.current_makespan();
 }
 
 

@@ -22,17 +22,13 @@ namespace saga {
 /// selection; see the implementation note in bil.cpp). O(|T|^2 |V| log |V|).
 /// Designed for homogeneous link strengths (paper Section VI pins BIL's
 /// links to 1).
-class BilScheduler final : public Scheduler {
+class BilScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "BIL"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = false, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+  void plan(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -8,9 +8,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_ert(TimelineBuilder& builder) {
+void ErtScheduler::plan(TimelineBuilder& builder) const {
   const std::size_t nodes = builder.view().node_count();
   while (!builder.complete()) {
     // Ready task with the earliest minimum data-ready time across nodes.
@@ -31,20 +29,6 @@ void build_ert(TimelineBuilder& builder) {
     const auto choice = builder.best_eft(next, /*insertion=*/false);
     builder.place(next, choice.node, choice.start);
   }
-}
-
-}  // namespace
-
-Schedule ErtScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_ert(builder);
-  return builder.to_schedule();
-}
-
-double ErtScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_ert(builder);
-  return builder.current_makespan();
 }
 
 

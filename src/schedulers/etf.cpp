@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_etf(TimelineBuilder& builder) {
+void EtfScheduler::plan(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   auto& ws = builder.workspace();
   std::vector<double>& level = ws.d0;
@@ -40,20 +38,6 @@ void build_etf(TimelineBuilder& builder) {
     }
     builder.place(best_task, best_node, best_start);
   }
-}
-
-}  // namespace
-
-Schedule EtfScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_etf(builder);
-  return builder.to_schedule();
-}
-
-double EtfScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_etf(builder);
-  return builder.current_makespan();
 }
 
 

@@ -29,7 +29,9 @@ NodeId enabling_node(const TimelineBuilder& builder, TaskId t) {
   return enabler;
 }
 
-void build_flb(TimelineBuilder& builder) {
+}  // namespace
+
+void FlbScheduler::plan(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   while (!builder.complete()) {
     TaskId best_task = 0;
@@ -57,20 +59,6 @@ void build_flb(TimelineBuilder& builder) {
     }
     builder.place_earliest(best_task, best_node, /*insertion=*/false);
   }
-}
-
-}  // namespace
-
-Schedule FlbScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_flb(builder);
-  return builder.to_schedule();
-}
-
-double FlbScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_flb(builder);
-  return builder.current_makespan();
 }
 
 

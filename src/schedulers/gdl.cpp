@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_gdl(TimelineBuilder& builder) {
+void GdlScheduler::plan(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   auto& ws = builder.workspace();
   std::vector<double>& sl = ws.d0;
@@ -41,20 +39,6 @@ void build_gdl(TimelineBuilder& builder) {
     }
     builder.place(best_task, best_node, best_start);
   }
-}
-
-}  // namespace
-
-Schedule GdlScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_gdl(builder);
-  return builder.to_schedule();
-}
-
-double GdlScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_gdl(builder);
-  return builder.current_makespan();
 }
 
 

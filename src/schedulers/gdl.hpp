@@ -17,17 +17,13 @@ namespace saga {
 /// are re-evaluated after every placement, giving O(|T|^2 |V|) pair
 /// evaluations. Designed assuming homogeneous link strengths, which
 /// `requirements` declares so PISA pins link weights to 1.
-class GdlScheduler final : public Scheduler {
+class GdlScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "GDL"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = false, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+  void plan(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -6,9 +6,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_maxmin(TimelineBuilder& builder) {
+void MaxMinScheduler::plan(TimelineBuilder& builder) const {
   while (!builder.complete()) {
     TaskId chosen_task = 0;
     NodeId chosen_node = 0;
@@ -28,21 +26,6 @@ void build_maxmin(TimelineBuilder& builder) {
     }
     builder.place(chosen_task, chosen_node, chosen_start);
   }
-}
-
-}  // namespace
-
-Schedule MaxMinScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_maxmin(builder);
-  return builder.to_schedule();
-}
-
-double MaxMinScheduler::plan_makespan(const ProblemInstance& inst,
-                                      TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_maxmin(builder);
-  return builder.current_makespan();
 }
 
 

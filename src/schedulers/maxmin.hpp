@@ -11,14 +11,10 @@ namespace saga {
 /// Like MinMin, but schedules the ready task whose *minimum* completion time
 /// is *largest* (on the node attaining that minimum): big tasks go first so
 /// they don't serialise at the end. O(|T|^2 |V|).
-class MaxMinScheduler final : public Scheduler {
+class MaxMinScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MaxMin"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+  void plan(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -8,9 +8,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_minmin(TimelineBuilder& builder) {
+void MinMinScheduler::plan(TimelineBuilder& builder) const {
   const std::size_t nodes = builder.view().node_count();
   while (!builder.complete()) {
     TaskId best_task = 0;
@@ -30,21 +28,6 @@ void build_minmin(TimelineBuilder& builder) {
     }
     builder.place(best_task, best_node, best_start);
   }
-}
-
-}  // namespace
-
-Schedule MinMinScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_minmin(builder);
-  return builder.to_schedule();
-}
-
-double MinMinScheduler::plan_makespan(const ProblemInstance& inst,
-                                      TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_minmin(builder);
-  return builder.current_makespan();
 }
 
 

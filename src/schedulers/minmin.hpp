@@ -13,14 +13,10 @@ namespace saga {
 /// is smallest on its corresponding node. O(|T|^2 |V|). Originally defined
 /// for independent tasks; the ready-set formulation extends it to DAGs
 /// (data-ready times are included in the completion time).
-class MinMinScheduler final : public Scheduler {
+class MinMinScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MinMin"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+  void plan(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

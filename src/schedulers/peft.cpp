@@ -9,8 +9,7 @@
 
 namespace saga {
 
-Schedule PeftScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
+void PeftScheduler::plan(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
   const std::size_t n_nodes = view.node_count();
@@ -68,7 +67,6 @@ Schedule PeftScheduler::schedule(const ProblemInstance& inst, TimelineArena* are
     }
     builder.place_earliest(next, best_node, /*insertion=*/true);
   }
-  return builder.to_schedule();
 }
 
 

@@ -10,10 +10,8 @@
 
 namespace saga {
 
-namespace {
-
-void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
-  Rng rng(seed);
+void WbaScheduler::plan(TimelineBuilder& builder) const {
+  Rng rng(seed_);
   const InstanceView& view = builder.view();
 
   // The option list lives in the pooled workspace, decomposed into parallel
@@ -46,7 +44,7 @@ void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
 
     // Keep every option within the tolerance band of the least increase and
     // choose uniformly among them.
-    const double band = min_inc + tolerance * (max_inc - min_inc);
+    const double band = min_inc + tolerance_ * (max_inc - min_inc);
     candidates.clear();
     for (std::size_t i = 0; i < opt_increase.size(); ++i) {
       if (opt_increase[i] <= band + 1e-15) {
@@ -56,20 +54,6 @@ void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
     const std::size_t chosen = candidates[rng.index(candidates.size())];
     builder.place_earliest(opt_task[chosen], opt_node[chosen], /*insertion=*/false);
   }
-}
-
-}  // namespace
-
-Schedule WbaScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_wba(builder, seed_, tolerance_);
-  return builder.to_schedule();
-}
-
-double WbaScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_wba(builder, seed_, tolerance_);
-  return builder.current_makespan();
 }
 
 

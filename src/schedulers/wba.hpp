@@ -19,17 +19,13 @@ namespace saga {
 ///
 /// Deterministic for a fixed seed; the seed is a constructor parameter so
 /// experiment drivers can derive independent streams.
-class WbaScheduler final : public Scheduler {
+class WbaScheduler final : public ListScheduler {
  public:
   explicit WbaScheduler(std::uint64_t seed = 0x5a6a0001ULL, double tolerance = 0.5)
       : seed_(seed), tolerance_(tolerance) {}
 
   [[nodiscard]] std::string_view name() const override { return "WBA"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+  void plan(TimelineBuilder& builder) const override;
 
  private:
   std::uint64_t seed_;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/nearest.hpp"
 #include "graph/serialization.hpp"
 
 namespace saga::serve {
@@ -18,6 +17,7 @@ namespace saga::serve {
 namespace {
 
 using exp::Json;
+using exp::check_keys;
 using exp::JsonArray;
 using exp::JsonObject;
 
@@ -44,19 +44,6 @@ double to_weight(const Json& json, const std::string& what) {
     throw std::invalid_argument(what + " must be positive and finite" + json.position_suffix());
   }
   return v;
-}
-
-void check_keys(const Json& object, const std::vector<std::string>& allowed,
-                const std::string& context) {
-  for (const auto& [key, value] : object.as_object()) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw std::invalid_argument("unknown key '" + key + "' in " + context +
-                                  did_you_mean(key, allowed) +
-                                  "; valid keys: " + join(allowed, ", ") +
-                                  object.position_suffix());
-    }
-  }
 }
 
 const Json& require(const Json& object, const char* key, const std::string& context) {

@@ -17,11 +17,15 @@
 /// \file http.hpp
 /// Minimal HTTP/1.1 plumbing for the `saga serve` daemon: a loopback TCP
 /// server that parses requests, dispatches them to a handler on a worker
-/// pool, and writes Content-Length framed responses (keep-alive supported),
-/// plus the small blocking client the tests, the smoke probe, and
-/// bench_serve drive it with. Dependency-free (POSIX sockets); HTTPS,
-/// chunked encoding, and proxies are explicitly out of scope — production
-/// deployments put this behind a terminating proxy.
+/// pool, and writes the responses (keep-alive supported). A response is
+/// either buffered and Content-Length framed, or, when the handler sets
+/// `HttpResponse::chunk_source`, streamed with Transfer-Encoding: chunked
+/// (by default `/v1/compare` streams rosters of 8 or more rows). HttpClient
+/// is the small blocking client of the tests, the smoke probe, bench_serve
+/// and the benchmark's load generator; it reads both framings and hands
+/// back a de-chunked body. Dependency-free (POSIX sockets); HTTPS and
+/// proxies are out of scope — production deployments put this behind a
+/// terminating proxy.
 ///
 /// Concurrency model: one acceptor thread hands each connection to the
 /// ThreadPool; a connection occupies its worker for its whole lifetime

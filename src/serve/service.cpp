@@ -22,6 +22,7 @@ namespace saga::serve {
 namespace {
 
 using exp::Json;
+using exp::check_keys;
 using exp::JsonArray;
 
 /// A request the client got wrong (vs. a bug in us): decoding failures are
@@ -62,19 +63,6 @@ Endpoint classify(const std::string& target) {
   if (target == "/metrics") return Endpoint::kMetrics;
   if (target == "/healthz") return Endpoint::kHealthz;
   return Endpoint::kOther;
-}
-
-void check_keys(const Json& object, const std::vector<std::string>& allowed,
-                const std::string& context) {
-  for (const auto& [key, value] : object.as_object()) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw std::invalid_argument("unknown key '" + key + "' in " + context +
-                                  did_you_mean(key, allowed) +
-                                  "; valid keys: " + join(allowed, ", ") +
-                                  object.position_suffix());
-    }
-  }
 }
 
 Json parse_body(const HttpRequest& req, const std::vector<std::string>& allowed,

@@ -1,32 +1,16 @@
 #include "sim/scenario.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
-
-#include "common/nearest.hpp"
 
 namespace saga::sim {
 
 namespace {
 
 using exp::Json;
+using exp::check_keys;
 using exp::JsonArray;
-
-/// Rejects keys outside `allowed`, suggesting the nearest valid one — the
-/// same contract ExperimentSpec::from_json applies at every level.
-void check_keys(const Json& object, const std::vector<std::string>& allowed,
-                const std::string& context) {
-  for (const auto& [key, value] : object.as_object()) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw std::invalid_argument("unknown key '" + key + "' in " + context +
-                                  did_you_mean(key, allowed) +
-                                  "; valid keys: " + join(allowed, ", "));
-    }
-  }
-}
 
 double finite_number(const Json& json, const std::string& context) {
   const double value = json.as_number();
@@ -34,15 +18,6 @@ double finite_number(const Json& json, const std::string& context) {
     throw std::invalid_argument(context + " must be finite" + json.position_suffix());
   }
   return value;
-}
-
-std::size_t to_size(const Json& json, const std::string& context) {
-  const double value = json.as_number();
-  if (value < 0.0 || value != std::floor(value) || value > 9.0e15) {
-    throw std::invalid_argument(context + " must be a non-negative integer (got " +
-                                json.dump() + ")" + json.position_suffix());
-  }
-  return static_cast<std::size_t>(value);
 }
 
 void require_time(double value, const std::string& context) {
@@ -73,7 +48,7 @@ ArrivalProcess arrivals_from_json(const Json& json) {
   if (process == "poisson") {
     arrivals.kind = ArrivalProcess::Kind::kPoisson;
     if (const Json* v = json.find("rate")) arrivals.rate = finite_number(*v, "arrival 'rate'");
-    if (const Json* v = json.find("jobs")) arrivals.jobs = to_size(*v, "arrival 'jobs'");
+    if (const Json* v = json.find("jobs")) arrivals.jobs = v->as_u64("arrival 'jobs'");
     if (json.find("times") != nullptr) {
       throw std::invalid_argument("poisson arrivals take 'rate' and 'jobs', not 'times'");
     }
@@ -123,7 +98,7 @@ FaultEvent fault_from_json(const Json& json) {
   }
   const Json* node = json.find("node");
   if (node == nullptr) throw std::invalid_argument("fault '" + kind + "' needs 'node'");
-  fault.node = to_size(*node, "fault 'node'");
+  fault.node = node->as_u64("fault 'node'");
   return fault;
 }
 
@@ -143,8 +118,8 @@ JitterEvent jitter_from_json(const Json& json) {
       throw std::invalid_argument("jitter 'link' must be a two-node array [a, b]");
     }
     jitter.has_link = true;
-    jitter.a = to_size(pair[0], "jitter link endpoint");
-    jitter.b = to_size(pair[1], "jitter link endpoint");
+    jitter.a = pair[0].as_u64("jitter link endpoint");
+    jitter.b = pair[1].as_u64("jitter link endpoint");
   }
   return jitter;
 }

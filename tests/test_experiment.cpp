@@ -77,6 +77,7 @@ TEST(ExperimentSpecJson, RejectsUnknownKeysWithSuggestion) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown key 'schedulrs'"), std::string::npos) << what;
     EXPECT_NE(what.find("did you mean 'schedulers'?"), std::string::npos) << what;
+    EXPECT_NE(what.find("at line 1, column 1"), std::string::npos) << what;
   }
   EXPECT_THROW(
       (void)ExperimentSpec::from_json(Json::parse(R"({"pisa": {"restart": 1}})")),
@@ -84,6 +85,27 @@ TEST(ExperimentSpecJson, RejectsUnknownKeysWithSuggestion) {
   EXPECT_THROW(
       (void)ExperimentSpec::from_json(Json::parse(R"({"instance": {"files": "x"}})")),
       std::invalid_argument);
+}
+
+TEST(ExperimentSpecJson, RejectsUnknownScenarioKeysWithPosition) {
+  // A typo inside a simulate spec's scenario is reported at the object that
+  // holds it, the same position context the daemon's 400 bodies carry.
+  const Json doc = Json::parse(
+      "{\"mode\": \"simulate\",\n"
+      " \"scenario\": {\"dataset\": \"blast\",\n"
+      "              \"faults\": [{\"type\": \"crash\", \"node\": 0, \"att\": 1}]}}");
+  try {
+    (void)ExperimentSpec::from_json(doc);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown key 'att' in fault entry"), std::string::npos) << what;
+    EXPECT_NE(what.find("did you mean 'at'?"), std::string::npos) << what;
+    EXPECT_NE(what.find("at line 3, column 26"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)ExperimentSpec::from_json(Json::parse(
+                   R"({"mode": "simulate", "scenario": {"dataset": "blast", "noise": 0.1}})")),
+               std::invalid_argument);
 }
 
 TEST(ExperimentSpecJson, RejectsBadModeAndNegativeCounts) {
