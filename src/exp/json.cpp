@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/nearest.hpp"
 
@@ -31,7 +32,37 @@ const char* type_name(Json::Type type) {
                            type_name(actual));
 }
 
-/// Recursive-descent parser with line/column error reporting.
+/// RFC 8259 number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+/// (strtod alone also takes "+1", "01", ".5" and "1.").
+bool is_rfc8259_number(std::string_view token) {
+  std::size_t i = 0;
+  const auto at = [&](char c) { return i < token.size() && token[i] == c; };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < token.size() && token[i] >= '0' && token[i] <= '9') ++i;
+    return i > from;
+  };
+  if (at('-')) ++i;
+  if (at('0')) {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (at('.')) {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (at('e') || at('E')) {
+    ++i;
+    if (at('+') || at('-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == token.size();
+}
+
+/// Recursive-descent parser with line/column error reporting. Its work is
+/// linear in the document: positions advance incrementally and large
+/// objects check duplicate keys through a hash set.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -45,25 +76,34 @@ class Parser {
 
  private:
   static constexpr int kMaxDepth = 64;
+  static constexpr std::size_t kLinearKeyScan = 8;
 
   std::string_view text_;
   std::size_t pos_ = 0;
 
-  [[nodiscard]] std::pair<std::size_t, std::size_t> location() const {
-    std::size_t line = 1;
-    std::size_t column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        column = 1;
+  // Line and column of the last position located. location() advances them
+  // from there rather than rescanning from byte 0, so locating every value
+  // of a document costs one pass over it in total. pos_ never moves back
+  // past a located position: its one rewind, to the first byte of an
+  // invalid number, returns to where parse_value located that value.
+  std::size_t located_pos_ = 0;
+  std::size_t located_line_ = 1;
+  std::size_t located_column_ = 1;
+
+  [[nodiscard]] std::pair<std::size_t, std::size_t> location() {
+    const std::size_t end = std::min(pos_, text_.size());
+    for (; located_pos_ < end; ++located_pos_) {
+      if (text_[located_pos_] == '\n') {
+        ++located_line_;
+        located_column_ = 1;
       } else {
-        ++column;
+        ++located_column_;
       }
     }
-    return {line, column};
+    return {located_line_, located_column_};
   }
 
-  [[noreturn]] void fail(const std::string& what) const {
+  [[noreturn]] void fail(const std::string& what) {
     const auto [line, column] = location();
     throw std::runtime_error("json parse error at line " + std::to_string(line) +
                              ", column " + std::to_string(column) + ": " + what);
@@ -129,13 +169,23 @@ class Parser {
       ++pos_;
       return Json::object(std::move(members));
     }
+    // Keys of a large object, for an O(1) duplicate check per key; small
+    // objects compare with their earlier keys instead.
+    std::unordered_set<std::string> seen;
     while (true) {
       skip_whitespace();
       if (peek() != '"') fail("expected a quoted object key");
       std::string key = parse_string();
-      for (const auto& [existing, unused] : members) {
-        (void)unused;
-        if (existing == key) fail("duplicate key '" + key + "' in object");
+      if (members.size() < kLinearKeyScan) {
+        for (const auto& [existing, unused] : members) {
+          (void)unused;
+          if (existing == key) fail("duplicate key '" + key + "' in object");
+        }
+      } else {
+        if (seen.empty()) {
+          for (const auto& member : members) seen.insert(member.first);
+        }
+        if (!seen.insert(key).second) fail("duplicate key '" + key + "' in object");
       }
       skip_whitespace();
       expect(':');
@@ -252,9 +302,9 @@ class Parser {
     }
     const std::string token(text_.substr(start, pos_ - start));
     if (token.empty()) fail("expected a value");
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+    const bool well_formed = is_rfc8259_number(token);
+    const double value = well_formed ? std::strtod(token.c_str(), nullptr) : 0.0;
+    if (!well_formed || !std::isfinite(value)) {
       pos_ = start;
       fail("invalid number '" + token + "'");
     }

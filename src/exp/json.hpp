@@ -65,8 +65,10 @@ class Json {
   /// object first; throws on other types).
   void set(std::string key, Json value);
 
-  /// Parses a complete JSON document; throws std::runtime_error with
-  /// "line L, column C" context on malformed input or duplicate keys.
+  /// Parses a complete JSON document in time linear in its size; throws
+  /// std::runtime_error with "line L, column C" context on malformed input
+  /// (numbers follow RFC 8259 strictly: no "+1", "01", ".5" or "1.") or
+  /// duplicate keys.
   [[nodiscard]] static Json parse(std::string_view text);
 
   /// Source position of a parsed value (1-based; 0 when the value was built

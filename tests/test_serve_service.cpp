@@ -223,6 +223,24 @@ TEST(ServeService, ErrorContract) {
   EXPECT_EQ(resp.status, 200) << resp.body;
 }
 
+TEST(ServeService, MebibyteBodyIsDecodedInLinearTime) {
+  // ~1 MiB of array values behind an unknown key: the decoder must read all
+  // of it before the key check answers 400. Positioning each of the ~5e5
+  // values by rescanning the body would hold the worker for minutes.
+  std::string body = R"({"pad":[0)";
+  while (body.size() < (1u << 20)) body += ",0";
+  body += "]}";
+  const HttpResponse resp = ScheduleService().handle(make_request("POST", "/v1/schedule", body));
+  EXPECT_EQ(resp.status, 400);
+  EXPECT_NE(resp.body.find("unknown key 'pad'"), std::string::npos) << resp.body;
+
+  // A malformed number late in the same body is a 400 at its position.
+  body.replace(body.size() - 3, 1, "01");
+  const HttpResponse bad = ScheduleService().handle(make_request("POST", "/v1/schedule", body));
+  EXPECT_EQ(bad.status, 400);
+  EXPECT_NE(bad.body.find("invalid number '01'"), std::string::npos) << bad.body;
+}
+
 TEST(ServeService, HealthzIsStable) {
   ScheduleService service;
   const HttpResponse resp = service.handle(make_request("GET", "/healthz"));
